@@ -404,6 +404,19 @@ func (s *RunStats) probeLostReading(producer uint16, t int64, reason string) {
 	}
 }
 
+// ProbePurged reports every reading carried by a frame the radio lost
+// without telling its sender (Network.OnPurge) to the probe, charged to
+// reason. Like probeLostReading it leaves the deterministic counters
+// alone, and under region parallelism it goes through the shared mutex,
+// so it may be called from any region goroutine.
+func (s *RunStats) ProbePurged(p *netsim.Packet, reason string) {
+	if dm, ok := p.Payload.(*DataMsg); ok {
+		for _, r := range dm.Readings {
+			s.probeLostReading(r.Producer, r.Time, reason)
+		}
+	}
+}
+
 // loseReadings accounts a batch of readings as lost for the given
 // cause (sender-perceived: an ack loss can mark a reading lost that
 // was in fact stored; conservation checkers treat the accounts as

@@ -52,13 +52,14 @@ const (
 	QueryShift
 	// BlackoutStart blocks every directed link into or out of the node
 	// stripe [Src, Dst] — a regional blackout. BlackoutEnd lifts it.
-	// Windows over the same stripe must not overlap.
+	// Blackout windows must not overlap (Validate enforces it).
 	BlackoutStart
 	// BlackoutEnd ends the blackout over [Src, Dst].
 	BlackoutEnd
 	// PartitionStart blocks every directed link between {id < Node} and
 	// {id >= Node} — a clean network partition at the boundary.
-	// PartitionEnd heals it. Cut windows must not overlap.
+	// PartitionEnd heals it. Cut windows must not overlap (Validate
+	// enforces it).
 	PartitionStart
 	// PartitionEnd heals the partition at boundary Node.
 	PartitionEnd
@@ -159,7 +160,11 @@ func (s *Script) Append(other Script) *Script {
 
 // Validate checks every event against a run of n nodes (including the
 // basestation, node 0) lasting duration. The basestation must never
-// die: the paper's protocol has a single, well-provisioned root.
+// die: the paper's protocol has a single, well-provisioned root. Fault
+// windows must also nest the way netsim keeps them — one active window
+// per primitive — so Validate replays them in Attach order and rejects
+// a blackout or partition that opens while another of its kind is
+// open, and an end that closes no open window.
 func (s *Script) Validate(n int, duration netsim.Time) error {
 	if s == nil {
 		return nil
@@ -210,7 +215,42 @@ func (s *Script) Validate(n int, duration netsim.Time) error {
 			return fmt.Errorf("dynamics: event %d has unknown kind %d", i, e.Kind)
 		}
 	}
+	var black, cut *Event // open windows
+	for _, e := range s.ordered() {
+		e := e
+		switch e.Kind {
+		case BlackoutStart:
+			if black != nil {
+				return fmt.Errorf("dynamics: blackout [%d,%d] at %v overlaps the blackout [%d,%d] open since %v", e.Src, e.Dst, e.At, black.Src, black.Dst, black.At)
+			}
+			black = &e
+		case BlackoutEnd:
+			if black == nil || black.Src != e.Src || black.Dst != e.Dst {
+				return fmt.Errorf("dynamics: blackout-end [%d,%d] at %v closes no open blackout", e.Src, e.Dst, e.At)
+			}
+			black = nil
+		case PartitionStart:
+			if cut != nil {
+				return fmt.Errorf("dynamics: partition at %d (%v) overlaps the partition at %d open since %v", e.Node, e.At, cut.Node, cut.At)
+			}
+			cut = &e
+		case PartitionEnd:
+			if cut == nil || cut.Node != e.Node {
+				return fmt.Errorf("dynamics: partition-end at %d (%v) closes no open partition", e.Node, e.At)
+			}
+			cut = nil
+		}
+	}
 	return nil
+}
+
+// ordered returns a copy of the events in application order: by time,
+// ties kept in script order.
+func (s *Script) ordered() []Event {
+	evs := make([]Event, len(s.Events))
+	copy(evs, s.Events)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return evs
 }
 
 // DataShifter is a workload source whose distribution can be walked
@@ -261,10 +301,7 @@ func (s *Script) Attach(sim *netsim.Simulator, t Targets) {
 	if base <= 0 {
 		base = 1
 	}
-	evs := make([]Event, len(s.Events))
-	copy(evs, s.Events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for _, e := range evs {
+	for _, e := range s.ordered() {
 		e := e
 		sim.At(e.At, func() {
 			if !apply(e, t, base) {

@@ -158,24 +158,47 @@ func TestDataDriftRamp(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	dur := 10 * netsim.Minute
+	bo := func(at netsim.Time, k Kind, lo, hi netsim.NodeID) Event {
+		return Event{At: at, Kind: k, Src: lo, Dst: hi}
+	}
+	cut := func(at netsim.Time, k Kind, b netsim.NodeID) Event { return Event{At: at, Kind: k, Node: b} }
+	m := netsim.Minute
 	cases := []struct {
 		name string
 		ev   Event
+		more []Event // further events of a multi-event script
 		ok   bool
 	}{
-		{"good-down", Event{At: netsim.Minute, Kind: NodeDown, Node: 3}, true},
-		{"base-kill", Event{At: netsim.Minute, Kind: NodeDown, Node: 0}, false},
-		{"node-oob", Event{At: netsim.Minute, Kind: NodeUp, Node: 9}, false},
-		{"late", Event{At: dur + 1, Kind: NodeDown, Node: 1}, false},
-		{"negative-time", Event{At: -1, Kind: NodeDown, Node: 1}, false},
-		{"loss-oob", Event{At: 0, Kind: NetLoss, Value: 1}, false},
-		{"link-self", Event{At: 0, Kind: LinkLoss, Src: 2, Dst: 2, Value: 0.1}, false},
-		{"shift-oob", Event{At: 0, Kind: DataShift, Value: 1.5}, false},
-		{"query-oob", Event{At: 0, Kind: QueryShift, Value: -0.1}, false},
-		{"good-query", Event{At: 0, Kind: QueryShift, Value: 0.9}, true},
+		{"good-down", Event{At: netsim.Minute, Kind: NodeDown, Node: 3}, nil, true},
+		{"base-kill", Event{At: netsim.Minute, Kind: NodeDown, Node: 0}, nil, false},
+		{"node-oob", Event{At: netsim.Minute, Kind: NodeUp, Node: 9}, nil, false},
+		{"late", Event{At: dur + 1, Kind: NodeDown, Node: 1}, nil, false},
+		{"negative-time", Event{At: -1, Kind: NodeDown, Node: 1}, nil, false},
+		{"loss-oob", Event{At: 0, Kind: NetLoss, Value: 1}, nil, false},
+		{"link-self", Event{At: 0, Kind: LinkLoss, Src: 2, Dst: 2, Value: 0.1}, nil, false},
+		{"shift-oob", Event{At: 0, Kind: DataShift, Value: 1.5}, nil, false},
+		{"query-oob", Event{At: 0, Kind: QueryShift, Value: -0.1}, nil, false},
+		{"good-query", Event{At: 0, Kind: QueryShift, Value: 0.9}, nil, true},
+		{"blackouts-back-to-back", bo(m, BlackoutStart, 1, 3), []Event{bo(2*m, BlackoutEnd, 1, 3),
+			bo(2*m, BlackoutStart, 4, 6), bo(3*m, BlackoutEnd, 4, 6)}, true},
+		{"blackouts-overlap", bo(m, BlackoutStart, 1, 3), []Event{bo(3*m, BlackoutEnd, 1, 3),
+			bo(2*m, BlackoutStart, 4, 6), bo(4*m, BlackoutEnd, 4, 6)}, false},
+		{"blackout-reopened", bo(m, BlackoutStart, 1, 3), []Event{bo(2*m, BlackoutStart, 1, 3)}, false},
+		{"blackout-end-unopened", bo(m, BlackoutEnd, 1, 3), nil, false},
+		{"blackout-end-other-stripe", bo(m, BlackoutStart, 1, 3), []Event{bo(2*m, BlackoutEnd, 1, 4)}, false},
+		{"blackout-end-before-start", bo(2*m, BlackoutStart, 1, 3), []Event{bo(m, BlackoutEnd, 1, 3)}, false},
+		{"blackout-open-to-run-end", bo(m, BlackoutStart, 1, 3), nil, true},
+		{"partitions-sequential", cut(m, PartitionStart, 4), []Event{cut(2*m, PartitionEnd, 4),
+			cut(3*m, PartitionStart, 5), cut(4*m, PartitionEnd, 5)}, true},
+		{"partitions-overlap", cut(m, PartitionStart, 4), []Event{cut(2*m, PartitionStart, 5),
+			cut(3*m, PartitionEnd, 4), cut(4*m, PartitionEnd, 5)}, false},
+		{"partition-end-unopened", cut(m, PartitionEnd, 4), nil, false},
+		{"partition-end-other-boundary", cut(m, PartitionStart, 4), []Event{cut(2*m, PartitionEnd, 5)}, false},
+		{"blackout-and-partition-overlap", bo(m, BlackoutStart, 1, 3), []Event{cut(2*m, PartitionStart, 4),
+			bo(3*m, BlackoutEnd, 1, 3), cut(4*m, PartitionEnd, 4)}, true},
 	}
 	for _, c := range cases {
-		s := Script{Events: []Event{c.ev}}
+		s := Script{Events: append([]Event{c.ev}, c.more...)}
 		err := s.Validate(9, dur)
 		if c.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", c.name, err)

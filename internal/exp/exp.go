@@ -442,6 +442,11 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 			merged.Append(*dyn)
 		}
 		merged.Append(fs)
+		// The seeded fault windows must not overlap the configured
+		// script's own windows of the same primitive.
+		if err := merged.Validate(cfg.N, cfg.Duration); err != nil {
+			return TrialResult{}, err
+		}
 		dyn = &merged
 	}
 
@@ -542,15 +547,6 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 	var chk *invariant.Checker
 	if cfg.CheckInvariants || ForceInvariants {
 		chk = invariant.New()
-		net.OnPurge = func(id netsim.NodeID, p *netsim.Packet) {
-			// A reboot drains the send queue; batched readings in it
-			// are RAM losses the radio-side accounting never sees.
-			if dm, ok := p.Payload.(*core.DataMsg); ok {
-				for _, r := range dm.Readings {
-					chk.LostReading(r.Producer, r.Time, "reboot-queue")
-				}
-			}
-		}
 	}
 	shards := []*core.RunStats{stats}
 	rcfgs := []core.Config{ccfg}
@@ -574,6 +570,15 @@ func runTrial(cfg Config, trial int) (TrialResult, error) {
 		}
 	} else if chk != nil {
 		stats.Probe = chk
+	}
+	if chk != nil {
+		// Reboot-drained queues and frames to a receiver that died
+		// mid-air carry readings the radio-side accounting never sees.
+		// Every shard shares one probe, behind the shared mutex when
+		// parallel, so any shard can report from any region.
+		net.OnPurge = func(_ netsim.NodeID, p *netsim.Packet, reason string) {
+			shards[0].ProbePurged(p, reason)
+		}
 	}
 	// readStats returns the live merged view; under parallelism it is
 	// only callable from control-plane events (regions quiesce at

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
+	"scoop/internal/dynamics"
 	"scoop/internal/netsim"
 )
 
@@ -83,5 +85,61 @@ func TestReliabilityAcceptance(t *testing.T) {
 	if lifted <= lossy {
 		t.Errorf("retries did not lift reply delivery: %.3f with reliability vs %.3f without",
 			lifted, lossy)
+	}
+}
+
+// TestDeadReceiverConservation runs the benchmark's faults-250 shape
+// (250-node grid, composed fault campaign, churn, drift, retries and
+// aggregates) at trial seed 15 with the invariant checker on. In that
+// run node 165's data frames reach an addressee that churn kills
+// mid-air, after the sender's ack was already drawn; the readings must
+// be charged to the dead-receiver purge rather than vanish. The
+// region-parallel engine reports the purge from a region goroutine, so
+// it runs too.
+func TestDeadReceiverConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("250-node, 20-minute fault campaign")
+	}
+	cfg := Default()
+	cfg.N = 250
+	cfg.Topology = "grid"
+	cfg.Duration = 20 * netsim.Minute
+	cfg.Warmup = cfg.Duration / 4
+	cfg.Trials = 1
+	cfg.Seed = 15
+	cfg.LinkLoss = 0.3
+	cfg.Faults = "campaign"
+	script := dynamics.Standard(cfg.N, cfg.Warmup, cfg.Duration, 0.05, 0.3, cfg.Seed+101)
+	cfg.Dynamics = &script
+	cfg.QueryDeadline = 8 * netsim.Second
+	cfg.QueryRetryMax = 4
+	cfg.AggRatio = 0.5
+	cfg.AggErrBudget = 0.05
+	cfg.QueryInterval = 5 * netsim.Second
+	cfg.ReindexInterval = 60 * netsim.Second
+	cfg.CheckInvariants = true
+	for _, k := range []int{1, 4} {
+		cfg.Regions = k
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("regions=%d: %v", k, err)
+		}
+	}
+}
+
+// TestFaultWindowsOverlapRejected: a configured script whose blackout
+// overlaps the seeded fault scenario's blackout is valid on its own,
+// so only the per-trial check of the merged timeline can reject it —
+// before it reaches netsim, which keeps one window per primitive.
+func TestFaultWindowsOverlapRejected(t *testing.T) {
+	cfg := Default()
+	cfg.N = 20
+	cfg.Trials = 1
+	cfg.Duration = 10 * netsim.Minute
+	cfg.Warmup = 2 * netsim.Minute
+	script := dynamics.Blackout(1, 2, cfg.Warmup, cfg.Duration)
+	cfg.Dynamics = &script
+	cfg.Faults = "blackout"
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "overlaps") {
+		t.Fatalf("Run error = %v, want an overlapping-blackout rejection", err)
 	}
 }

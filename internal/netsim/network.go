@@ -164,7 +164,7 @@ func (r *regionState) pruneActive(now Time) {
 // message counters into one runnable radio network.
 //
 // The per-event hot path is allocation-free in steady state (DESIGN.md
-// §12): link tables are flat slices keyed by dense node index, each
+// §12): one sparse link table serves every link lookup, each
 // transmission schedules a single pooled delivery task shared by every
 // receiver, and the cloned packet it carries is recycled after the
 // last callback returns.
@@ -174,12 +174,17 @@ type Network struct {
 	Counters *metrics.Counters
 	Params   Params
 
-	// OnPurge, when non-nil, is called for every queued packet a node
-	// loses to a reboot (Network.Restart drains the send queue without
-	// running completion callbacks — a rebooted mote forgets its RAM).
-	// Invariant-checking harnesses use it to keep loss accounting
-	// conservative.
-	OnPurge func(id NodeID, p *Packet)
+	// OnPurge, when non-nil, is called for every frame the radio loses
+	// without telling its sender: each queued packet a node loses to a
+	// reboot (reason "reboot-queue": Network.Restart drains the send
+	// queue without running completion callbacks — a rebooted mote
+	// forgets its RAM), and each unicast frame whose addressee died
+	// mid-air (reason "dead-receiver": the sender's ack was drawn at
+	// transmit start). Invariant-checking harnesses use it to keep loss
+	// accounting conservative. The dead-receiver call runs on the
+	// addressee's region goroutine, so under SetRegions the hook must
+	// be safe for concurrent use.
+	OnPurge func(id NodeID, p *Packet, reason string)
 
 	// Trace, when non-nil, receives a flight-recorder event for every
 	// transmission, delivery, snoop, drop, purge and node kill/restart.
@@ -191,10 +196,10 @@ type Network struct {
 	apps      []App
 	api       []*NodeAPI
 	dead      []bool
-	linkScale []float64 // flat N×N link degradation factors
-	blockMask []uint8   // flat N×N fault-blocked link bits, lazily allocated
-	burstLoss float64   // correlated burst-loss fraction (0: no burst window active)
-	qualFlat  []float64 // flat copy of Topo.Quality, built at Start
+	links     linkTable
+	burstLoss float64     // correlated burst-loss fraction (0: no burst window active)
+	blackout  faultWindow // active blackout stripe [lo, hi]
+	cut       faultWindow // active partition cut at boundary lo
 	txSeq     []uint32
 	nextOseq  []uint64 // per-origin canonical schedule counters
 	started   bool
@@ -207,24 +212,21 @@ type Network struct {
 
 // NewNetwork creates a network over topo driven by sim. counters may be
 // shared with other observers but must only be used from this
-// simulation's goroutine.
+// simulation's goroutine. The network snapshots topo.Quality into its
+// link table here: later edits to the matrix are not seen.
 func NewNetwork(sim *Simulator, topo *Topology, counters *metrics.Counters, params Params) *Network {
-	n := &Network{
-		Sim:       sim,
-		Topo:      topo,
-		Counters:  counters,
-		Params:    params,
-		apps:      make([]App, topo.N),
-		api:       make([]*NodeAPI, topo.N),
-		dead:      make([]bool, topo.N),
-		txSeq:     make([]uint32, topo.N),
-		nextOseq:  make([]uint64, topo.N),
-		linkScale: make([]float64, topo.N*topo.N),
+	return &Network{
+		Sim:      sim,
+		Topo:     topo,
+		Counters: counters,
+		Params:   params,
+		apps:     make([]App, topo.N),
+		api:      make([]*NodeAPI, topo.N),
+		dead:     make([]bool, topo.N),
+		links:    newLinkTable(topo),
+		txSeq:    make([]uint32, topo.N),
+		nextOseq: make([]uint64, topo.N),
 	}
-	for i := range n.linkScale {
-		n.linkScale[i] = 1
-	}
-	return n
 }
 
 // SetRegions partitions the network into k parallel regions (DESIGN.md
@@ -363,14 +365,6 @@ func (n *Network) Start() {
 	if n.regs == nil {
 		n.buildRegions()
 	}
-	// Freeze the link tables: force the topology's out-link lists and
-	// take a flat copy of the quality matrix for O(1) pair lookups.
-	nn := n.Topo.N
-	n.qualFlat = make([]float64, nn*nn)
-	for i := 0; i < nn; i++ {
-		copy(n.qualFlat[i*nn:(i+1)*nn], n.Topo.Quality[i])
-	}
-	n.Topo.OutLinks(0)
 	for i, app := range n.apps {
 		if app != nil {
 			app.Init(n.api[i])
@@ -416,7 +410,7 @@ func (n *Network) Restart(id NodeID) {
 	}
 	if n.OnPurge != nil {
 		for _, j := range a.queue {
-			n.OnPurge(id, j.p)
+			n.OnPurge(id, j.p, "reboot-queue")
 		}
 	}
 	if n.Trace != nil {
@@ -442,31 +436,42 @@ func (n *Network) Dead(id NodeID) bool { return n.dead[id] }
 
 // ScaleLink multiplies the delivery probability of the directed link
 // src→dst by f (clamped to [0,1] at use). Used to inject interference.
+// A pair with no link stays silent whatever its scale, so scaling one
+// is a no-op.
 func (n *Network) ScaleLink(src, dst NodeID, f float64) {
-	n.linkScale[int(src)*n.Topo.N+int(dst)] = f
+	if l := n.links.find(src, dst); l != nil {
+		l.scale = f
+	}
 }
 
 // ScaleAllLinks applies ScaleLink to every directed link, modelling a
 // network-wide interference epoch.
 func (n *Network) ScaleAllLinks(f float64) {
-	for i := range n.linkScale {
-		n.linkScale[i] = f
+	for i := range n.links.out {
+		n.links.out[i].scale = f
 	}
 }
 
-// Fault-primitive block bits (Network.blockMask). A link is blocked
-// while any bit is set; the bit identifies which primitive to charge a
-// typed drop to (blackout wins when both overlap).
-const (
-	blockBlackout uint8 = 1 << iota
-	blockPartition
-)
+// faultWindow is one scripted fault window: a blackout stripe [lo, hi]
+// or a partition cut at boundary lo (hi == lo). Windows of the same
+// primitive never overlap, so one descriptor per primitive is exact.
+type faultWindow struct {
+	on     bool
+	lo, hi NodeID
+}
 
-func (n *Network) ensureBlockMask() []uint8 {
-	if n.blockMask == nil {
-		n.blockMask = make([]uint8, n.Topo.N*n.Topo.N)
+// toggle opens or closes w. Opening a window while one is active, or
+// closing one that is not the active window, panics: either would need
+// per-link state the descriptor does not keep (dynamics.Script.Validate
+// rejects such scripts up front).
+func (w *faultWindow) toggle(kind string, lo, hi NodeID, on bool) {
+	if on && w.on {
+		panic(fmt.Sprintf("netsim: %s window [%d,%d] overlaps the active window [%d,%d]", kind, lo, hi, w.lo, w.hi))
 	}
-	return n.blockMask
+	if !on && (!w.on || w.lo != lo || w.hi != hi) {
+		panic(fmt.Sprintf("netsim: %s end [%d,%d] closes no active window", kind, lo, hi))
+	}
+	*w = faultWindow{on: on, lo: lo, hi: hi}
 }
 
 // SetBlackout switches a regional blackout over the node stripe
@@ -474,46 +479,16 @@ func (n *Network) ensureBlockMask() []uint8 {
 // blocked while the window is active. Blocked links lose frames before
 // any random draw, so the sender's substream advances identically for
 // every region count. Control-plane only (dynamics events at barriers);
-// windows of the same primitive must not overlap.
-func (n *Network) SetBlackout(lo, hi NodeID, on bool) {
-	mask := n.ensureBlockMask()
-	nn := n.Topo.N
-	for i := 0; i < nn; i++ {
-		inStripe := NodeID(i) >= lo && NodeID(i) <= hi
-		row := i * nn
-		for j := 0; j < nn; j++ {
-			if !inStripe && !(NodeID(j) >= lo && NodeID(j) <= hi) {
-				continue
-			}
-			if on {
-				mask[row+j] |= blockBlackout
-			} else {
-				mask[row+j] &^= blockBlackout
-			}
-		}
-	}
-}
+// blackout windows must not overlap, and switching one off must name
+// the active stripe.
+func (n *Network) SetBlackout(lo, hi NodeID, on bool) { n.blackout.toggle("blackout", lo, hi, on) }
 
 // SetPartition switches a network partition on or off: every directed
 // link between the node sets {id < boundary} and {id >= boundary} is
 // blocked while the cut is active. Control-plane only; cut windows must
-// not overlap.
+// not overlap, and switching one off must name the active boundary.
 func (n *Network) SetPartition(boundary NodeID, on bool) {
-	mask := n.ensureBlockMask()
-	nn := n.Topo.N
-	for i := 0; i < nn; i++ {
-		row := i * nn
-		for j := 0; j < nn; j++ {
-			if (NodeID(i) < boundary) == (NodeID(j) < boundary) {
-				continue
-			}
-			if on {
-				mask[row+j] |= blockPartition
-			} else {
-				mask[row+j] &^= blockPartition
-			}
-		}
-	}
+	n.cut.toggle("partition", boundary, boundary, on)
 }
 
 // SetBurst sets the correlated burst-loss fraction: while f > 0, every
@@ -531,17 +506,26 @@ func (n *Network) SetBurst(f float64) {
 	n.burstLoss = f
 }
 
+// fault reports the fault primitive blocking the pair src→dst, if any
+// (blackout over partition when both cover it). Non-links are covered
+// like links, so drop accounting does not depend on audibility.
+func (n *Network) fault(src, dst NodeID) (metrics.DropCause, bool) {
+	if b := &n.blackout; b.on && (src >= b.lo && src <= b.hi || dst >= b.lo && dst <= b.hi) {
+		return metrics.DropBlackout, true
+	}
+	if c := &n.cut; c.on && (src < c.lo) != (dst < c.lo) {
+		return metrics.DropPartition, true
+	}
+	return 0, false
+}
+
 // dropCause classifies a retry-exhaustion drop on the path src→dst: a
-// loss inside an active fault window is charged to the fault primitive
-// (blackout over partition when both cover the link), everything else
-// to plain retry exhaustion.
+// loss inside an active fault window is charged to the fault primitive,
+// everything else to burst loss or plain retry exhaustion.
 func (n *Network) dropCause(src, dst NodeID) metrics.DropCause {
-	if n.blockMask != nil && int(dst) < n.Topo.N {
-		switch m := n.blockMask[int(src)*n.Topo.N+int(dst)]; {
-		case m&blockBlackout != 0:
-			return metrics.DropBlackout
-		case m&blockPartition != 0:
-			return metrics.DropPartition
+	if int(dst) < n.Topo.N {
+		if c, blocked := n.fault(src, dst); blocked {
+			return c
 		}
 	}
 	if n.burstLoss > 0 {
@@ -550,19 +534,16 @@ func (n *Network) dropCause(src, dst NodeID) metrics.DropCause {
 	return metrics.DropRetries
 }
 
-// quality returns the effective delivery probability src→dst now.
-func (n *Network) quality(src, dst NodeID) float64 {
-	i := int(src)*n.Topo.N + int(dst)
-	var base float64
-	if n.qualFlat != nil {
-		base = n.qualFlat[i]
-	} else {
-		base = n.Topo.Quality[src][dst] // pre-Start (tests poking directly)
-	}
-	if n.blockMask != nil && n.blockMask[i] != 0 {
+// effective is the one effective-quality formula: a fault-blocked link
+// is silent; otherwise the base quality times the scripted scale, times
+// the burst survival while a burst window is active, clamped to [0,1].
+// Every committed artifact depends on these float operations and their
+// order bit for bit.
+func (n *Network) effective(src NodeID, l *link) float64 {
+	if _, blocked := n.fault(src, l.dst); blocked {
 		return 0
 	}
-	q := base * n.linkScale[i]
+	q := l.q * l.scale
 	if n.burstLoss > 0 {
 		q *= 1 - n.burstLoss
 	}
@@ -573,6 +554,15 @@ func (n *Network) quality(src, dst NodeID) float64 {
 		return 1
 	}
 	return q
+}
+
+// quality returns the effective delivery probability src→dst now (0
+// for a pair with no link).
+func (n *Network) quality(src, dst NodeID) float64 {
+	if l := n.links.find(src, dst); l != nil {
+		return n.effective(src, l)
+	}
+	return 0
 }
 
 func (n *Network) txDuration(size int) Time {
@@ -619,8 +609,9 @@ func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 	return false
 }
 
-// collided reports whether a frame from src spanning [start,end) is
-// destroyed at receiver dst by other visible overlapping frames.
+// collided reports whether a frame from src spanning [start,end),
+// heard at receiver dst with effective quality qs, is destroyed there
+// by other visible overlapping frames.
 // Destruction is probabilistic, scaled by each interferer's signal at
 // the receiver, with a capture effect: a clearly stronger frame
 // survives interference from a much weaker one, as real narrow-band
@@ -629,11 +620,10 @@ func (n *Network) channelBusyAt(reg *regionState, id NodeID, now Time) bool {
 // one random draw from the sender's stream per receiver — so the
 // outcome is independent of the order interference state accumulated
 // in (the region-parallel determinism contract).
-func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, start, end Time) bool {
+func (n *Network) collided(reg *regionState, rng *rand.Rand, src, dst NodeID, qs float64, start, end Time) bool {
 	if !n.Params.Collisions {
 		return false
 	}
-	qs := n.quality(src, dst)
 	floor := gridFloor(start, n.window)
 	sc := reg.scratch[:0]
 	gather := func(txs []transmission) {
@@ -705,7 +695,13 @@ func (d *delivery) Run() {
 	tr := reg.trace
 	for _, s := range d.recv {
 		if n.dead[s.dst] {
-			continue // died mid-air; misses the frame
+			// Died mid-air; misses the frame. A unicast addressee's
+			// loss is invisible to its sender, whose ack was drawn at
+			// transmit start, so it is reported as a purge.
+			if n.OnPurge != nil && s.dst == d.p.Dst {
+				n.OnPurge(s.dst, &d.p, "dead-receiver")
+			}
+			continue
 		}
 		if tr != nil {
 			tr.SetSub(s.gi)
@@ -808,31 +804,20 @@ func (n *Network) transmit(a *NodeAPI, p *Packet, requireAck bool) bool {
 	parallel := len(n.regs) > 1
 	var d *delivery
 	var oseq uint64
-	rowBase := int(src) * n.Topo.N
-	for gi, lk := range n.Topo.OutLinks(src) {
-		dst := lk.Dst
-		j := int(dst)
-		if n.dead[j] || n.apps[j] == nil {
+	out := n.links.from(src)
+	for gi := range out {
+		dst := out[gi].dst
+		if n.dead[dst] || n.apps[dst] == nil {
 			continue
 		}
-		if n.blockMask != nil && n.blockMask[rowBase+j] != 0 {
-			// Fault-blocked link: the frame dies before the per-link
-			// draw, exactly like a q=0 link, so the sender's substream
-			// advances identically whether or not a window is active
-			// elsewhere.
-			continue
-		}
-		q := lk.Quality * n.linkScale[rowBase+j]
-		if n.burstLoss > 0 {
-			q *= 1 - n.burstLoss
-		}
-		if q > 1 {
-			q = 1
-		}
+		// A fault-blocked link has q = 0 and dies before the per-link
+		// draw, so the sender's substream advances identically whether
+		// or not a window is active elsewhere.
+		q := n.effective(src, &out[gi])
 		if q <= 0 || rng.Float64() >= q {
 			continue
 		}
-		if n.collided(reg, rng, src, dst, tx.start, tx.end) {
+		if n.collided(reg, rng, src, dst, q, tx.start, tx.end) {
 			reg.counters.CountDrop(metrics.DropCollision)
 			if reg.trace != nil {
 				reg.trace.Emit(trace.Event{Kind: trace.PacketDrop, Node: uint16(dst),

@@ -24,30 +24,14 @@ func (p Point) Dist(q Point) float64 {
 // ("connections are slightly asymmetric, as in most real wireless
 // networks"; audible pairs have loss rates from ~25% to ~90%).
 //
-// A topology is immutable once a Network starts on it: the per-node
-// out-link lists (OutLinks) and the network's flattened quality table
-// are derived from Quality exactly once, so the hot transmit fan-out
-// never rescans the N×N matrix. Mutate Quality only before Start (or
-// call InvalidateLinks after).
+// Quality is the dense generator output and stays immutable once a
+// Network is built on it: NewNetwork snapshots the audible links into
+// its sparse link table (DESIGN.md §12) and never reads the matrix
+// again.
 type Topology struct {
 	N       int
 	Pos     []Point
 	Quality [][]float64
-
-	// outLinks caches each node's audible out-links in ascending
-	// destination order — built once, reused for every transmission
-	// (the scale tier's dense-index convention, DESIGN.md §12). The
-	// ascending order is also a determinism contract: the transmit
-	// loop draws per-receiver randomness in exactly this order, so it
-	// must match a fresh scan of Quality row by row.
-	outLinks [][]Link
-}
-
-// Link is one directed audible link: the destination and the delivery
-// probability of a single transmission.
-type Link struct {
-	Dst     NodeID
-	Quality float64
 }
 
 // NewTopology allocates an n-node topology with no links.
@@ -60,54 +44,6 @@ func NewTopology(n int) *Topology {
 		t.Quality[i] = make([]float64, n)
 	}
 	return t
-}
-
-// OutLinks returns node i's audible out-links in ascending destination
-// order. The lists for all nodes are built on first call and reused;
-// call InvalidateLinks after mutating Quality by hand.
-func (t *Topology) OutLinks(i NodeID) []Link {
-	if t.outLinks == nil {
-		t.buildOutLinks()
-	}
-	return t.outLinks[i]
-}
-
-func (t *Topology) buildOutLinks() {
-	t.outLinks = make([][]Link, t.N)
-	// One backing array for all lists keeps them cache-adjacent.
-	total := 0
-	for i := 0; i < t.N; i++ {
-		for j := 0; j < t.N; j++ {
-			if i != j && t.Quality[i][j] > 0 {
-				total++
-			}
-		}
-	}
-	backing := make([]Link, 0, total)
-	for i := 0; i < t.N; i++ {
-		start := len(backing)
-		for j := 0; j < t.N; j++ {
-			if i != j && t.Quality[i][j] > 0 {
-				backing = append(backing, Link{Dst: NodeID(j), Quality: t.Quality[i][j]})
-			}
-		}
-		t.outLinks[i] = backing[start:len(backing):len(backing)]
-	}
-}
-
-// InvalidateLinks drops the cached out-link lists; the next OutLinks
-// call rebuilds them from Quality. Tests that edit Quality after
-// first use need this — the stock generators never do.
-func (t *Topology) InvalidateLinks() { t.outLinks = nil }
-
-// Neighbors returns the nodes that can hear i at all.
-func (t *Topology) Neighbors(i NodeID) []NodeID {
-	links := t.OutLinks(i)
-	out := make([]NodeID, len(links))
-	for k, l := range links {
-		out[k] = l.Dst
-	}
-	return out
 }
 
 // AvgDegreeFraction reports the mean fraction of other nodes each node

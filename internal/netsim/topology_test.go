@@ -177,17 +177,3 @@ func TestLinkQualityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestNeighborsListsAudible(t *testing.T) {
-	topo := UniformTopology(40, 7, 3.2, 13)
-	for i := 0; i < topo.N; i++ {
-		for _, nb := range topo.Neighbors(NodeID(i)) {
-			if topo.Quality[i][nb] == 0 {
-				t.Fatalf("neighbor %d of %d has zero quality", nb, i)
-			}
-			if nb == NodeID(i) {
-				t.Fatal("node listed as own neighbor")
-			}
-		}
-	}
-}
