@@ -242,11 +242,6 @@ func (b *Base) onSummary(m *SummaryMsg) {
 	}
 }
 
-// resetChunks drops every mapping chunk of generation curID back to
-// the fast Trickle interval, in key order (each reset draws
-// randomness, so iteration must be deterministic). Shared by the base
-// and node inconsistency-detection paths so the Trickle rule cannot
-// drift between them.
 // sortedChunkKeys returns the chunk map's keys in ascending order.
 // Chunk purges call Trickle.Remove per key and each call re-arms the
 // shared timer, so the iteration must be deterministic (DESIGN.md §2);
@@ -261,16 +256,18 @@ func sortedChunkKeys(chunks map[trickle.Key]index.Chunk) []trickle.Key {
 	return ks
 }
 
+// resetChunks drops every mapping chunk of generation curID back to
+// the fast Trickle interval, in key order (each re-Add draws
+// randomness, so iteration must be deterministic). The chunk map
+// mirrors the mapping Trickle's key set, so re-adding revives chunks
+// that retired after MaxRounds. Shared by the base and node
+// inconsistency-detection paths so the Trickle rule cannot drift
+// between them.
 func resetChunks(chunks map[trickle.Key]index.Chunk, curID uint16, g *trickle.Trickle) {
-	var ks []trickle.Key
-	for k, c := range chunks {
-		if c.IndexID == curID {
-			ks = append(ks, k)
+	for _, k := range sortedChunkKeys(chunks) {
+		if chunks[k].IndexID == curID {
+			g.Add(k)
 		}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	for _, k := range ks {
-		g.Reset(k)
 	}
 }
 

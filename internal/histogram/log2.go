@@ -68,9 +68,10 @@ func Log2Bound(k int) int64 {
 }
 
 // Quantile returns the inclusive upper bound of the bucket containing
-// the q-quantile sample (q clamped to [0,1]; 0 when empty). The bound
-// is a guaranteed "≤" statement: at least a q fraction of samples are
-// no larger than the returned value.
+// the q-quantile sample, capped at the largest recorded sample (q
+// clamped to [0,1]; 0 when empty). The bound is a guaranteed "≤"
+// statement: at least a q fraction of samples are no larger than the
+// returned value, and it never exceeds Max.
 func (h *Log2) Quantile(q float64) int64 {
 	if h.total == 0 {
 		return 0
@@ -89,7 +90,7 @@ func (h *Log2) Quantile(q float64) int64 {
 	for k, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			return Log2Bound(k)
+			return min(Log2Bound(k), h.max)
 		}
 	}
 	return h.max

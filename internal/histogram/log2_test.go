@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -48,8 +49,33 @@ func TestLog2Quantile(t *testing.T) {
 	if got := h.Quantile(0.99); got != 1 {
 		t.Fatalf("p99 = %d, want 1 (99 of 100 samples are 1)", got)
 	}
-	if got := h.Quantile(1.0); got != Log2Bound(21) {
-		t.Fatalf("p100 = %d, want %d", got, Log2Bound(21))
+	// The top sample's bucket bound is 2^21−1; the quantile is capped
+	// at the recorded max.
+	if got := h.Quantile(1.0); got != h.Max() {
+		t.Fatalf("p100 = %d, want max %d", got, h.Max())
+	}
+}
+
+// Property: no quantile exceeds the largest recorded sample, and
+// quantiles are monotone in q.
+func TestLog2QuantileNeverExceedsMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		var h Log2
+		for n := 1 + rng.Intn(50); n > 0; n-- {
+			h.Record(rng.Int63n(int64(1) << uint(rng.Intn(40))))
+		}
+		prev := int64(-1)
+		for _, q := range []float64{-1, 0, 0.01, 0.25, 0.5, 0.9, 0.99, 1, 2} {
+			got := h.Quantile(q)
+			if got > h.Max() {
+				t.Fatalf("trial %d: Quantile(%v) = %d > max %d", trial, q, got, h.Max())
+			}
+			if got < prev {
+				t.Fatalf("trial %d: Quantile(%v) = %d < a lower quantile %d", trial, q, got, prev)
+			}
+			prev = got
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 //
 // Two body shapes are provably order-independent and exempt:
 // collecting keys into a slice (for sorting — the idiom
-// trickle.OnTimer uses) and deleting keys from the ranged map itself
-// (clearing). Anything else needs sorted keys or a reviewed
+// core.sortedChunkKeys uses) and deleting keys from the ranged map
+// itself (clearing). Anything else needs sorted keys or a reviewed
 // //scoop:allow maprange <reason>.
 var Maprange = &Analyzer{
 	Name: "maprange",

@@ -124,8 +124,9 @@ func TestNewGenerationPropagatesUnderLoss(t *testing.T) {
 
 func time90s() netsim.Time { return 90 * netsim.Second }
 
-// MaxRounds retires an item, and Reset revives it — the inconsistency
-// path nodes use when a neighbor gossips a stale generation.
+// MaxRounds retires an item, and re-adding it revives it — the
+// inconsistency path nodes use when a neighbor gossips a stale
+// generation.
 func TestResetRevivesRetiredItemUnderLoss(t *testing.T) {
 	cfg := Config{TauLow: 250 * netsim.Millisecond, TauHigh: netsim.Second, K: 1, MaxRounds: 3}
 	sim, gs := lossyLine(2, 1, cfg, 13)
@@ -134,14 +135,18 @@ func TestResetRevivesRetiredItemUnderLoss(t *testing.T) {
 	if !gs[1].held[9] {
 		t.Fatal("item never crossed a perfect link")
 	}
-	// Retired: long silence follows. Drop the receiver's copy and
-	// reset the sender; the item must cross again despite loss.
+	// Retired: long silence follows, and the sender no longer holds
+	// the item. Drop the receiver's copy and re-add at the sender; the
+	// item must cross again despite loss.
+	if len(gs[0].tr.items) != 0 {
+		t.Fatalf("sender still holds %d items after MaxRounds", len(gs[0].tr.items))
+	}
 	delete(gs[1].held, 9)
 	gs[1].tr.Remove(9)
-	gs[0].tr.Reset(9)
+	gs[0].tr.Add(9)
 	sim.Run(sim.Now() + 30*netsim.Second)
 	if !gs[1].held[9] {
-		t.Fatal("reset did not redisseminate the retired item")
+		t.Fatal("re-Add did not redisseminate the retired item")
 	}
 }
 

@@ -16,7 +16,7 @@
 package trickle
 
 import (
-	"sort"
+	"slices"
 
 	"scoop/internal/netsim"
 )
@@ -47,24 +47,30 @@ func DefaultConfig() Config {
 	}
 }
 
-type itemState struct {
+// item is one key under dissemination together with its timer state.
+type item struct {
+	key     Key
 	tau     netsim.Time
 	heard   int // consistent transmissions heard this interval
 	fireAt  netsim.Time
 	endAt   netsim.Time
 	fired   bool // sent (or suppressed) this interval already
 	rounds  int
-	retired bool
+	retired bool // reached MaxRounds; dropped at the end of this OnTimer
 }
 
 // Trickle multiplexes any number of per-item Trickle timers onto a
-// single NodeAPI timer.
+// single NodeAPI timer. It holds only the items still gossiping, by
+// value, in one slice sorted by key: a timer fire costs O(live items)
+// and allocates nothing, and key order is the deterministic iteration
+// order OnTimer's random draws need.
 type Trickle struct {
 	api     *netsim.NodeAPI
 	cfg     Config
 	timerID int
 	send    func(Key)
-	items   map[Key]*itemState
+	items   []item // ascending key
+	due     []Key  // OnTimer scratch, reused across fires
 }
 
 // New creates a Trickle instance. send is invoked from the timer
@@ -74,84 +80,81 @@ func New(api *netsim.NodeAPI, timerID int, cfg Config, send func(Key)) *Trickle 
 	if cfg.K <= 0 || cfg.TauLow <= 0 || cfg.TauHigh < cfg.TauLow {
 		panic("trickle: invalid config")
 	}
-	return &Trickle{
-		api:     api,
-		cfg:     cfg,
-		timerID: timerID,
-		send:    send,
-		items:   make(map[Key]*itemState),
+	return &Trickle{api: api, cfg: cfg, timerID: timerID, send: send}
+}
+
+// find returns key's index in items, or the index it would be
+// inserted at, and whether it is present.
+func (t *Trickle) find(key Key) (int, bool) {
+	lo, hi := 0, len(t.items)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.items[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(t.items) && t.items[lo].key == key
 }
 
 // Add starts (or restarts) dissemination of key at the fast interval.
+// Re-adding a held key is how an owner reacts to an inconsistency (a
+// neighbor has older data): the item, retired or not, gossips fast
+// again.
 func (t *Trickle) Add(key Key) {
-	st := &itemState{}
-	t.items[key] = st
-	t.startInterval(st, t.cfg.TauLow)
+	i, ok := t.find(key)
+	if !ok {
+		t.items = slices.Insert(t.items, i, item{})
+	}
+	t.items[i] = item{key: key}
+	t.startInterval(&t.items[i], t.cfg.TauLow)
 	t.rearm()
 }
 
 // Remove stops dissemination of key (e.g. the chunk belongs to a
 // superseded storage index).
 func (t *Trickle) Remove(key Key) {
-	delete(t.items, key)
+	if i, ok := t.find(key); ok {
+		t.items = slices.Delete(t.items, i, i+1)
+	}
 	t.rearm()
 }
-
-// Has reports whether key is currently under dissemination.
-func (t *Trickle) Has(key Key) bool {
-	_, ok := t.items[key]
-	return ok
-}
-
-// Len reports the number of items under dissemination.
-func (t *Trickle) Len() int { return len(t.items) }
 
 // Heard records a consistent transmission of key overheard from a
 // neighbor, feeding suppression.
 func (t *Trickle) Heard(key Key) {
-	if st, ok := t.items[key]; ok {
-		st.heard++
+	if i, ok := t.find(key); ok {
+		t.items[i].heard++
 	}
 }
 
-// Reset drops key's interval back to TauLow, used when an
-// inconsistency is detected (a neighbor has older data).
-func (t *Trickle) Reset(key Key) {
-	if st, ok := t.items[key]; ok {
-		st.rounds = 0
-		st.retired = false
-		t.startInterval(st, t.cfg.TauLow)
-		t.rearm()
-	}
-}
-
-func (t *Trickle) startInterval(st *itemState, tau netsim.Time) {
+func (t *Trickle) startInterval(it *item, tau netsim.Time) {
 	if tau > t.cfg.TauHigh {
 		tau = t.cfg.TauHigh
 	}
-	st.tau = tau
-	st.heard = 0
-	st.fired = false
+	it.tau = tau
+	it.heard = 0
+	it.fired = false
 	now := t.api.Now()
 	// Fire at a uniform point in the second half of the interval.
 	half := tau / 2
-	st.fireAt = now + half + netsim.Time(t.api.RandIntn(int(half)+1))
-	st.endAt = now + tau
+	it.fireAt = now + half + netsim.Time(t.api.RandIntn(int(half)+1))
+	it.endAt = now + tau
 }
 
 // rearm schedules the shared timer for the earliest pending deadline.
 func (t *Trickle) rearm() {
 	var next netsim.Time = -1
 	now := t.api.Now()
-	//scoop:allow maprange pure min over virtual deadlines, order-independent (no RNG, no FP, no sends)
-	for _, st := range t.items {
-		if st.retired {
+	for i := range t.items {
+		it := &t.items[i]
+		if it.retired {
 			continue
 		}
-		d := st.fireAt
-		if st.fired {
-			d = st.endAt
+		d := it.fireAt
+		if it.fired {
+			d = it.endAt
 		}
 		if next < 0 || d < next {
 			next = d
@@ -172,41 +175,35 @@ func (t *Trickle) rearm() {
 // must call it when the timer with the configured ID fires. Items are
 // processed in key order: interval restarts draw from the shared
 // random stream, so iteration order must be deterministic for
-// simulations to be reproducible.
+// simulations to be reproducible. An item that reaches MaxRounds is
+// still sent if it came due in this pass, then dropped.
 func (t *Trickle) OnTimer() {
 	now := t.api.Now()
-	keys := make([]Key, 0, len(t.items))
-	for key := range t.items {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var due []Key
-	for _, key := range keys {
-		st := t.items[key]
-		if st.retired {
-			continue
-		}
-		if !st.fired && now >= st.fireAt {
-			st.fired = true
-			if st.heard < t.cfg.K {
-				due = append(due, key)
+	t.due = t.due[:0]
+	for i := range t.items {
+		it := &t.items[i]
+		if !it.fired && now >= it.fireAt {
+			it.fired = true
+			if it.heard < t.cfg.K {
+				t.due = append(t.due, it.key)
 			}
 		}
-		if now >= st.endAt {
-			st.rounds++
-			if t.cfg.MaxRounds > 0 && st.rounds >= t.cfg.MaxRounds {
-				st.retired = true
+		if now >= it.endAt {
+			it.rounds++
+			if t.cfg.MaxRounds > 0 && it.rounds >= t.cfg.MaxRounds {
+				it.retired = true
 				continue
 			}
-			t.startInterval(st, st.tau*2)
+			t.startInterval(it, it.tau*2)
 		}
 	}
 	t.rearm()
 	// Send after rearming so a send callback that mutates the item set
 	// (Add/Remove) sees a consistent timer.
-	for _, key := range due {
-		if _, ok := t.items[key]; ok {
+	for _, key := range t.due {
+		if _, ok := t.find(key); ok {
 			t.send(key)
 		}
 	}
+	t.items = slices.DeleteFunc(t.items, func(it item) bool { return it.retired })
 }

@@ -11,6 +11,7 @@ import (
 type harness struct {
 	tr    *Trickle
 	sends []Key
+	fires int
 	cfg   Config
 }
 
@@ -23,6 +24,7 @@ func (h *harness) Receive(p *netsim.Packet) {}
 func (h *harness) Snoop(p *netsim.Packet)   {}
 func (h *harness) Timer(id int) {
 	if id == trickleTimer {
+		h.fires++
 		h.tr.OnTimer()
 	}
 }
@@ -109,20 +111,6 @@ func TestTrickleKThreshold(t *testing.T) {
 	}
 }
 
-func TestTrickleResetRestoresFastGossip(t *testing.T) {
-	cfg := Config{TauLow: 500 * netsim.Millisecond, TauHigh: 32 * netsim.Second, K: 1}
-	h, sim := newHarness(cfg, 5)
-	h.tr.Add(1)
-	sim.Run(40 * netsim.Second) // let it back off to TauHigh
-	slowSends := len(h.sends)
-	h.tr.Reset(1)
-	sim.Run(sim.Now() + 4*netsim.Second)
-	fastSends := len(h.sends) - slowSends
-	if fastSends < 2 {
-		t.Fatalf("only %d sends in 4s after reset; want fast gossip again", fastSends)
-	}
-}
-
 func TestTrickleMaxRoundsRetires(t *testing.T) {
 	cfg := Config{TauLow: netsim.Second, TauHigh: netsim.Second, K: 1, MaxRounds: 3}
 	h, sim := newHarness(cfg, 6)
@@ -133,6 +121,55 @@ func TestTrickleMaxRoundsRetires(t *testing.T) {
 	}
 }
 
+// Retired items are dropped, not kept: once the last item passes
+// MaxRounds the Trickle holds nothing and its timer stays silent.
+func TestTrickleRetiredItemsDropped(t *testing.T) {
+	cfg := Config{TauLow: netsim.Second, TauHigh: 4 * netsim.Second, K: 1, MaxRounds: 3}
+	h, sim := newHarness(cfg, 12)
+	h.tr.Add(3)
+	h.tr.Add(1)
+	sim.Run(2 * netsim.Second)
+	h.tr.Add(2) // retires last, two seconds after the others
+	sim.Run(30 * netsim.Second)
+	if n := len(h.tr.items); n != 0 {
+		t.Fatalf("%d items held after every item passed MaxRounds", n)
+	}
+	fires, sends := h.fires, len(h.sends)
+	sim.Run(sim.Now() + 10*netsim.Minute)
+	if h.fires != fires || len(h.sends) != sends {
+		t.Fatalf("timer still firing after retirement: %d fires, %d sends later",
+			h.fires-fires, len(h.sends)-sends)
+	}
+	if sim.Pending() != 0 {
+		t.Fatalf("%d events still pending; timer not cancelled", sim.Pending())
+	}
+}
+
+// OnTimer and Heard on a warmed Trickle allocate nothing: the item
+// slice, the due scratch and the pooled netsim timer are all reused.
+func TestTrickleSteadyStateNoAlloc(t *testing.T) {
+	cfg := Config{TauLow: 500 * netsim.Millisecond, TauHigh: 4 * netsim.Second, K: 1}
+	h, sim := newHarness(cfg, 13)
+	for _, k := range []Key{40, 7, 19, 3, 88, 61, 25, 12} {
+		h.tr.Add(k)
+	}
+	sim.Run(time90s())
+	const runs = 200
+	h.sends = make([]Key, 0, 8*(runs+1)) // recording sends must not allocate either
+	fires := h.fires
+	// Each event is one fire of the Trickle timer (nothing else is
+	// scheduled), so this measures OnTimer plus the event loop.
+	if a := testing.AllocsPerRun(runs, func() { sim.Step() }); a != 0 {
+		t.Fatalf("OnTimer allocates %.2f/call, want 0", a)
+	}
+	if h.fires-fires < runs {
+		t.Fatalf("only %d OnTimer calls in %d steps", h.fires-fires, runs)
+	}
+	if a := testing.AllocsPerRun(1000, func() { h.tr.Heard(19) }); a != 0 {
+		t.Fatalf("Heard allocates %.2f/call, want 0", a)
+	}
+}
+
 func TestTrickleRemove(t *testing.T) {
 	cfg := Config{TauLow: netsim.Second, TauHigh: netsim.Second, K: 1}
 	h, sim := newHarness(cfg, 7)
@@ -140,7 +177,10 @@ func TestTrickleRemove(t *testing.T) {
 	h.tr.Add(2)
 	sim.Run(3 * netsim.Second)
 	h.tr.Remove(1)
-	if h.tr.Has(1) || !h.tr.Has(2) {
+	if _, ok := h.tr.find(1); ok {
+		t.Fatal("Remove left the item in place")
+	}
+	if _, ok := h.tr.find(2); !ok {
 		t.Fatal("Remove removed the wrong item")
 	}
 	before := len(h.sends)
@@ -150,8 +190,8 @@ func TestTrickleRemove(t *testing.T) {
 			t.Fatal("removed item still gossiping")
 		}
 	}
-	if h.tr.Len() != 1 {
-		t.Fatalf("len = %d", h.tr.Len())
+	if len(h.tr.items) != 1 {
+		t.Fatalf("len = %d", len(h.tr.items))
 	}
 }
 
@@ -174,7 +214,6 @@ func TestTrickleHeardUnknownKeyIgnored(t *testing.T) {
 	cfg := DefaultConfig()
 	h, sim := newHarness(cfg, 9)
 	h.tr.Heard(99) // must not panic
-	h.tr.Reset(99)
 	sim.Run(netsim.Second)
 }
 
